@@ -35,13 +35,12 @@ from repro.bench.serving import make_cost_model, make_kv_budget
 from repro.core.engine import ComputeEngine
 from repro.gpu.spec import RTX4090
 from repro.llm.config import llama_7b
+from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.requests import (
     LengthSampler,
     multi_turn_chat_trace,
     shared_prefix_trace,
 )
-from repro.serve.scheduler import ContinuousBatchScheduler
-from repro.serve.simulator import ServingSimulator
 
 #: Equal HBM allowance for the KV cache of every mode.
 KV_HBM_GB = 1.0
@@ -63,11 +62,13 @@ SHARED = dict(rate_rps=8.0, n_requests=48, system_tokens=512,
 
 def run(mode, trace, engine, config, prefix_caching, name):
     budget = make_kv_budget(config, mode, capacity_bytes=KV_HBM_GB * 1e9)
-    sched = ContinuousBatchScheduler(budget, token_budget=2048, max_seqs=64,
-                                     admission="paged", block_tokens=16,
-                                     prefix_caching=prefix_caching)
-    report = ServingSimulator(sched, make_cost_model(engine, config, mode),
-                              name=name).run(trace)
+    sim = SimConfig(
+        scheduler=SchedulerConfig(token_budget=2048, max_seqs=64,
+                                  admission="paged", block_tokens=16,
+                                  prefix_caching=prefix_caching),
+        name=name).build(budget, make_cost_model(engine, config, mode))
+    report = sim.run(trace)
+    sched = sim.scheduler
     # Ref-count conservation: every request finished, so no sequence
     # may still hold or reference a block (cached blocks may stay
     # resident — that is the cache — but nothing may leak).

@@ -378,10 +378,11 @@ class DeprecationCategoryRule(Rule):
     title = ("warnings.warn about deprecation must pass a "
              "DeprecationWarning category")
     rationale = (
-        "The api.py deprecation policy keeps legacy kwargs one PR "
-        "cycle behind a DeprecationWarning; a shim warning with the "
-        "default UserWarning category breaks `-W error::"
-        "DeprecationWarning` test filters and user expectations.")
+        "A deprecation shim lives one PR cycle behind a "
+        "DeprecationWarning, and tier-1 CI runs with `-W error::"
+        "DeprecationWarning` so no call site outlives it; a shim "
+        "warning with the default UserWarning category escapes that "
+        "filter and user expectations.")
 
     def check(self, parsed: ParsedFile,
               ctx: AnalysisContext) -> Iterable[Finding]:

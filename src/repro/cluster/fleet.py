@@ -1,15 +1,16 @@
 """Multi-replica fleet simulator with pluggable request routing.
 
-A *replica* is one serving engine — a single GPU or a whole
-tensor-parallel group — wrapping its own
-:class:`~repro.serve.scheduler.ContinuousBatchScheduler` and iteration
-cost model behind a private clock.  The :class:`FleetSimulator` drives
-``N`` replicas behind a front-end router: requests arrive on one shared
-trace, the router inspects replica state *as of the arrival instant*
-and picks a target, and each replica then runs its own iteration loop
-exactly as the single-engine :class:`~repro.serve.simulator.ServingSimulator`
-does.  Replicas never interact except through routing, so the event
-loop only has to keep replica clocks consistent with arrival order.
+A *replica* (:class:`~repro.serve.simulator.Replica`) is one serving
+engine — a single GPU or a whole tensor-parallel group — wrapping its
+own :class:`~repro.serve.scheduler.ContinuousBatchScheduler` and
+iteration cost model behind a private clock.  The
+:class:`FleetSimulator` drives ``N`` replicas behind a front-end
+router: requests arrive on one shared trace, the router inspects
+replica state *as of the arrival instant* and picks a target, and each
+replica then steps exactly as the one replica of the single-engine
+:class:`~repro.serve.simulator.ServingSimulator` does.  Replicas never
+interact except through routing, so the event loop only has to keep
+replica clocks consistent with arrival order.
 The driver is the shared global event heap
 (:class:`~repro.serve.events.EventLoop`): arrivals and per-replica
 iteration boundaries pop in simulated-time order, so by the time an
@@ -46,24 +47,15 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SLOMonitor
 from repro.obs.timeline import TimelineCollector
-from repro.obs.trace import EVT_EVICTED, EVT_REJECTED, NULL_TRACER, Tracer
+from repro.obs.trace import EVT_REJECTED, NULL_TRACER, Tracer
 from repro.serve.api import FleetConfig
-from repro.serve.costs import StepCostModel
 from repro.serve.events import ARRIVAL, SAMPLE, STEP, EventLoop, EventStats
 from repro.serve.requests import Request
-from repro.serve.scheduler import ContinuousBatchScheduler
-from repro.serve.simulator import (RequestRecord, observe_request_metrics,
-                                   percentile)
-
-#: Sentinel distinguishing "kwarg not passed" from any real value.
-_UNSET = object()
+from repro.serve.simulator import Replica, Report, RequestRecord, finish_run
 
 
 @dataclass(frozen=True)
@@ -95,108 +87,6 @@ class SLO:
         if self.tpot_s is not None and record.tpot_s > self.tpot_s:
             return False
         return True
-
-
-class Replica:
-    """One serving engine instance with a private simulation clock."""
-
-    def __init__(self, replica_id: int,
-                 scheduler: ContinuousBatchScheduler,
-                 cost_model: StepCostModel):
-        self.replica_id = replica_id
-        self.scheduler = scheduler
-        self.cost_model = cost_model
-        self.now_s = 0.0
-        self.iterations = 0
-        self.n_submitted = 0
-        self.peak_kv = 0.0
-        self.finished: list = []
-        #: Times a driver activated this replica — one per iteration
-        #: under the event heap, but one per *arrival* (plus one per
-        #: iteration) under the legacy lockstep :meth:`advance_to`
-        #: driver, which polls idle replicas too.  The regression test
-        #: for the lockstep inefficiency pins the difference.
-        self.n_wakeups = 0
-        #: Eviction count already traced, for delta instants.
-        self._last_evicted = 0
-
-    @property
-    def has_work(self) -> bool:
-        return self.scheduler.has_work
-
-    @property
-    def queue_depth(self) -> int:
-        """Sequences on this replica: queued plus running.
-
-        Preempted sequences awaiting re-admission count as queued —
-        each carries re-prefill work, so a paged replica mid-thrash
-        must not look idle to the ``jsq`` router.
-        """
-        s = self.scheduler
-        return len(s.waiting) + len(s.preempted) + len(s.running)
-
-    @property
-    def kv_pressure(self) -> float:
-        """Near-term KV demand over budget, counting the queue.
-
-        Delegates to
-        :attr:`~repro.serve.scheduler.ContinuousBatchScheduler.kv_pressure`:
-        worst-case reservations-to-be under reserve admission, but
-        *observed block usage* plus queued prompts' blocks under paged
-        admission — a paged replica that has packed many short-context
-        sequences reports the blocks it actually holds, not the
-        worst-case footprint it never allocated.
-        """
-        return self.scheduler.kv_pressure
-
-    def submit(self, request: Request) -> None:
-        """Route one request here (arrival may be later than the clock)."""
-        self.now_s = max(self.now_s, request.arrival_s)
-        self.scheduler.submit(request)
-        self.n_submitted += 1
-
-    def step(self) -> list:
-        """Run one scheduler iteration and advance the clock.
-
-        Returns the sequences that completed this iteration (also
-        appended to :attr:`finished`), so the fleet driver can feed
-        per-window telemetry without diffing the list.
-        """
-        plan = self.scheduler.schedule(self.now_s)
-        if plan.empty:  # pragma: no cover - has_work implies a plan
-            # Fail loudly: returning would spin advance_to/run forever.
-            raise RuntimeError(f"replica {self.replica_id} made no "
-                               "progress with work pending")
-        self.iterations += 1
-        step_us = self.cost_model.step_us(plan)
-        t0 = self.now_s
-        self.now_s += step_us / 1e6
-        self.peak_kv = max(self.peak_kv, self.scheduler.kv_utilization)
-        tracer = self.scheduler.tracer
-        if tracer.enabled:
-            tracer.step(self.replica_id, t0, step_us, plan,
-                        self.scheduler.kv_occupancy)
-            evicted = getattr(getattr(self.scheduler, "allocator", None),
-                              "n_evicted_blocks", 0)
-            if evicted > self._last_evicted:
-                tracer.event(EVT_EVICTED, t0, self.replica_id, -1,
-                             evicted - self._last_evicted)
-                self._last_evicted = evicted
-        done = self.scheduler.complete(plan, self.now_s)
-        self.finished.extend(done)
-        return done
-
-    def advance_to(self, t_s: float) -> None:
-        """Run iterations until the clock reaches ``t_s`` or work runs out.
-
-        The legacy lockstep driver: :meth:`FleetSimulator.run` no
-        longer calls it (the global event heap orders replica
-        boundaries against arrivals instead), but it remains the
-        reference semantics the heap is equivalence-tested against.
-        """
-        self.n_wakeups += 1
-        while self.has_work and self.now_s < t_s:
-            self.step()
 
 
 # ----------------------------------------------------------------------
@@ -327,130 +217,24 @@ def make_policy(policy: Union[str, RouterPolicy]) -> RouterPolicy:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ReplicaStats:
-    """Per-replica accounting of one fleet run.
-
-    Replaces the PR-3 positional tuple ``(routed, iterations, peak_kv,
-    preemptions)``; iteration/indexing keep the old unpacking sites
-    working (``routed, iters, peak, *rest = stats``) while new code
-    reads attributes.
-    """
+    """Per-replica accounting of one fleet run."""
 
     n_requests: int
     n_iterations: int
     peak_kv_utilization: float
     n_preemptions: int = 0
 
-    def __iter__(self):
-        yield self.n_requests
-        yield self.n_iterations
-        yield self.peak_kv_utilization
-        yield self.n_preemptions
 
-    def __len__(self) -> int:
-        return 4
-
-    def __getitem__(self, idx):
-        return (self.n_requests, self.n_iterations,
-                self.peak_kv_utilization, self.n_preemptions)[idx]
-
-
-@dataclass
-class FleetReport:
+@dataclass(kw_only=True)
+class FleetReport(Report):
     """Aggregate metrics of one simulated fleet run."""
 
-    name: str
     policy: str
     n_replicas: int
-    records: List[RequestRecord]
     #: req_id -> replica index, for every routed request.
     assignments: Dict[int, int]
-    makespan_s: float
-    #: Per-replica accounting (:class:`ReplicaStats`); legacy raw
-    #: tuples are converted with a DeprecationWarning.
+    #: Per-replica accounting (:class:`ReplicaStats`).
     replica_stats: List[ReplicaStats] = field(default_factory=list)
-    n_rejected: int = 0
-    #: Whether any replica ran with prefix caching enabled.
-    prefix_caching: bool = False
-    #: Prefix-cache counters summed across replicas.
-    prefix_lookups: int = 0
-    prefix_lookup_hits: int = 0
-    prefix_hit_tokens: int = 0
-    prefix_miss_tokens: int = 0
-    n_evicted_blocks: int = 0
-    #: Event-loop statistics of the run (:class:`~repro.serve.events.
-    #: EventStats`), surfaced into :meth:`metrics`.
-    event_stats: Optional[EventStats] = None
-    #: The run's :class:`~repro.obs.metrics.MetricsRegistry` (flat dict
-    #: merged into :meth:`metrics`; Prometheus text available).
-    registry: Optional[object] = None
-    #: The run's :class:`~repro.obs.trace.Tracer` when the fleet ran
-    #: with ``FleetConfig(trace=True)``, else ``None``.
-    tracer: Optional[object] = None
-    #: The run's per-replica :class:`~repro.obs.timeline.Timeline` when
-    #: it ran with ``FleetConfig(timeline=...)``, else ``None``.  Never
-    #: merged into :meth:`metrics` (bit-identity contract).
-    timeline: Optional[object] = None
-    #: Evaluated :class:`~repro.obs.slo.SLOReport` over the fleet-merged
-    #: windows when the timeline config carried SLO limits.
-    slo: Optional[object] = None
-
-    def __post_init__(self):
-        converted, warned = [], False
-        for entry in self.replica_stats:
-            if isinstance(entry, ReplicaStats):
-                converted.append(entry)
-                continue
-            if not warned:
-                warnings.warn(
-                    "passing replica_stats as positional tuples is "
-                    "deprecated; pass ReplicaStats instances "
-                    "(repro.cluster.fleet)", DeprecationWarning,
-                    stacklevel=3)
-                warned = True
-            converted.append(ReplicaStats(*tuple(entry)[:4]))
-        self.replica_stats = converted
-
-    @property
-    def n_preempted(self) -> int:
-        """Recompute preemptions across all replicas (paged admission)."""
-        return sum(stats.n_preemptions for stats in self.replica_stats)
-
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fleet-wide fraction of admissions hitting the prefix cache."""
-        return self.prefix_lookup_hits / max(1, self.prefix_lookups)
-
-    @property
-    def cached_token_fraction(self) -> float:
-        """Fleet-wide fraction of prompt tokens served from caches."""
-        total = self.prefix_hit_tokens + self.prefix_miss_tokens
-        return self.prefix_hit_tokens / max(1, total)
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.records)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.n_requests / self.makespan_s if self.makespan_s else 0.0
-
-    @property
-    def output_tokens_per_s(self) -> float:
-        total = sum(r.output_tokens for r in self.records)
-        return total / self.makespan_s if self.makespan_s else 0.0
-
-    def _quantile(self, values: List[float], q: float) -> float:
-        return percentile(values, q) if values else 0.0
-
-    def ttft_s(self, q: float = 50.0) -> float:
-        return self._quantile([r.ttft_s for r in self.records], q)
-
-    def tpot_s(self, q: float = 50.0) -> float:
-        return self._quantile(
-            [r.tpot_s for r in self.records if r.output_tokens > 1], q)
-
-    def latency_s(self, q: float = 50.0) -> float:
-        return self._quantile([r.latency_s for r in self.records], q)
 
     # -- SLO-conditioned metrics ---------------------------------------
     def slo_attainment(self, slo: SLO) -> float:
@@ -484,64 +268,22 @@ class FleetReport:
         return True
 
     def metrics(self, slo: Optional[SLO] = None) -> dict:
-        """Flat JSON-safe metric dict (plain ``int``/``float`` values).
-
-        The fleet analogue of
-        :meth:`repro.serve.simulator.ServingReport.metrics`, with the
-        same key names for shared concepts so the orchestrator's
-        trajectory deltas compare uniformly.  Passing an :class:`SLO`
-        adds the SLO-conditioned metrics (``goodput_rps``,
-        ``slo_attainment``).
-        """
-        out = {
-            "n_replicas": self.n_replicas,
-            "n_requests": self.n_requests,
-            "n_rejected": self.n_rejected,
-            "makespan_s": self.makespan_s,
-            "throughput_rps": self.throughput_rps,
-            "output_tokens_per_s": self.output_tokens_per_s,
-            "ttft_p50_ms": self.ttft_s(50) * 1e3,
-            "ttft_p95_ms": self.ttft_s(95) * 1e3,
-            "tpot_p50_ms": self.tpot_s(50) * 1e3,
-            "latency_p50_s": self.latency_s(50),
-            "latency_p99_s": self.latency_s(99),
-            "n_preempted": self.n_preempted,
-            "prefix_hit_rate": self.prefix_hit_rate,
-            "cached_token_fraction": self.cached_token_fraction,
-            "n_evicted_blocks": self.n_evicted_blocks,
-        }
+        """:meth:`~repro.serve.simulator.Report.metrics` plus the fleet
+        keys.  Passing an :class:`SLO` adds the SLO-conditioned metrics
+        (``goodput_rps``, ``slo_attainment``)."""
+        out = super().metrics()
+        out["n_replicas"] = self.n_replicas
         if slo is not None:
             out["goodput_rps"] = self.goodput_rps(slo)
             out["slo_attainment"] = self.slo_attainment(slo)
-        if self.event_stats is not None:
-            out["n_events"] = self.event_stats.n_events
-            out["n_arrivals"] = self.event_stats.n_arrivals
-            out["n_step_events"] = self.event_stats.n_step_events
-            out["n_idle_polls"] = self.event_stats.n_idle_polls
-        if self.registry is not None:
-            # Registry metrics never shadow the canonical keys above.
-            for key, value in self.registry.to_flat_dict().items():
-                out.setdefault(key, value)
         return out
 
-    def summary(self) -> str:
-        """Multi-line human-readable summary."""
-        lines = [
-            f"{self.name}: {self.n_replicas} replicas ({self.policy}), "
-            f"{self.n_requests} requests in {self.makespan_s:.2f} s",
-            f"  throughput : {self.throughput_rps:6.2f} req/s, "
-            f"{self.output_tokens_per_s:8.1f} output tok/s",
-            f"  TTFT       : p50 {self.ttft_s(50) * 1e3:8.1f} ms, "
-            f"p95 {self.ttft_s(95) * 1e3:8.1f} ms",
-            f"  TPOT       : p50 {self.tpot_s(50) * 1e3:8.2f} ms/token",
-            f"  latency    : p50 {self.latency_s(50):6.2f} s, "
-            f"p95 {self.latency_s(95):6.2f} s",
-        ]
-        if self.prefix_caching:
-            lines.append(
-                f"  prefix     : {self.prefix_hit_rate:.0%} admissions "
-                f"hit, {self.cached_token_fraction:.0%} of prompt tokens "
-                f"cached, {self.n_evicted_blocks} blocks evicted")
+    def _headline(self) -> str:
+        return (f"{self.name}: {self.n_replicas} replicas ({self.policy}), "
+                f"{self.n_requests} requests in {self.makespan_s:.2f} s")
+
+    def _detail_lines(self) -> List[str]:
+        lines = []
         for rid, stats in enumerate(self.replica_stats):
             line = (f"  replica {rid}  : {stats.n_requests:4d} requests, "
                     f"{stats.n_iterations:6d} iterations, "
@@ -549,13 +291,7 @@ class FleetReport:
             if stats.n_preemptions:
                 line += f", {stats.n_preemptions} preemptions"
             lines.append(line)
-        if self.n_rejected:
-            lines.append(f"  rejected   : {self.n_rejected} requests "
-                         "exceeded every replica's KV budget")
-        if self.slo is not None:
-            lines.extend("  " + ln for ln in
-                         self.slo.summary().splitlines())
-        return "\n".join(lines)
+        return lines
 
 
 # ----------------------------------------------------------------------
@@ -574,29 +310,13 @@ class FleetSimulator:
     """
 
     def __init__(self, replicas: Sequence[Replica],
-                 policy: Union[str, RouterPolicy] = _UNSET,
-                 name: str = _UNSET,
                  config: Optional[FleetConfig] = None):
         if not replicas:
             raise ValueError("need at least one replica")
-        legacy = {k: v for k, v in (("policy", policy), ("name", name))
-                  if v is not _UNSET}
-        if config is not None:
-            if legacy:
-                raise TypeError(
-                    "pass either config= or legacy fleet kwargs, not "
-                    f"both (got {sorted(legacy)})")
-        else:
-            if legacy:
-                warnings.warn(
-                    "passing fleet options as individual kwargs is "
-                    "deprecated; pass config=FleetConfig(...) "
-                    "(repro.serve.api)", DeprecationWarning, stacklevel=2)
-            config = FleetConfig(**legacy)
-        self.config = config
+        self.config = config if config is not None else FleetConfig()
         self.replicas = list(replicas)
-        self.policy = make_policy(config.policy)
-        self.name = config.name
+        self.policy = make_policy(self.config.policy)
+        self.name = self.config.name
         self.last_event_stats: Optional[EventStats] = None
 
     def run(self, trace: Sequence[Request],
@@ -612,7 +332,7 @@ class FleetSimulator:
             raise ValueError("empty trace")
         replicas = self.replicas
         assignments: Dict[int, int] = {}
-        rejected: List[Request] = []
+        n_rejected = 0
         tracer = Tracer(name=self.name) if self.config.trace else NULL_TRACER
         self.tracer = tracer
         if tracer.enabled:
@@ -652,7 +372,6 @@ class FleetSimulator:
             if kind == STEP:
                 idx = payload
                 rep = replicas[idx]
-                rep.n_wakeups += 1
                 if rep.iterations >= max_iterations:
                     raise RuntimeError(
                         f"replica {rep.replica_id} exceeded "
@@ -671,7 +390,7 @@ class FleetSimulator:
             candidates = [i for i, rep in enumerate(replicas)
                           if rep.scheduler.fits(req)]
             if not candidates:
-                rejected.append(req)
+                n_rejected += 1
                 if tracer.enabled:
                     # No replica could ever hold it; pin to track 0.
                     tracer.event(EVT_REJECTED, req.arrival_s, 0,
@@ -694,74 +413,18 @@ class FleetSimulator:
                 loop.push(replicas[idx].now_s, STEP, idx)
                 in_heap[idx] = True
         self.last_event_stats = loop.stats
-
-        for rep in replicas:
-            alloc = getattr(rep.scheduler, "allocator", None)
-            if alloc is not None and alloc.sanitize:
-                # Per-replica full-heap audit at drain (reads state
-                # only; raises SanitizeError on a broken invariant).
-                alloc.audit_drained()
-
-        records = [
-            RequestRecord(
-                req_id=s.request.req_id,
-                arrival_s=s.request.arrival_s,
-                first_token_s=s.first_token_s,
-                finished_s=s.finished_s,
-                prompt_tokens=s.request.prompt_tokens,
-                output_tokens=s.request.output_tokens,
-                queued_s=s.admitted_s - s.request.arrival_s,
-            )
-            for rep in replicas for s in rep.finished
-        ]
-        records.sort(key=lambda r: r.req_id)
-        if tracer.enabled:
-            for rep in replicas:
-                tracer.record_sequences(rep.replica_id, rep.finished)
-        registry = MetricsRegistry()
-        for rep in replicas:
-            emit = getattr(rep.scheduler, "emit_metrics", None)
-            if emit is not None:
-                emit(registry, replica=str(rep.replica_id))
-        loop.stats.emit_metrics(registry)
-        observe_request_metrics(registry, records,
-                                n_rejected=len(rejected))
-        prefix = [
-            stats for rep in replicas
-            if getattr(rep.scheduler, "prefix_caching", False)
-            and (stats := rep.scheduler.prefix_stats()) is not None
-        ]
-        makespan_s = max(rep.now_s for rep in replicas)
-        timeline_obj = slo_report = None
-        if timeline is not None:
-            timeline_obj = timeline.finalize(makespan_s, schedulers)
-            if self.config.timeline.tracks_slo:
-                slo_report = SLOMonitor(
-                    target=self.config.timeline.slo_target,
-                ).evaluate(timeline_obj)
+        shared = finish_run(replicas, loop, n_rejected, name=self.name,
+                            tracer=tracer, timeline=timeline,
+                            replica_labels=True)
         return FleetReport(
-            name=self.name,
+            **shared,
             policy=self.policy.name,
             n_replicas=len(replicas),
-            records=records,
             assignments=assignments,
-            makespan_s=makespan_s,
             replica_stats=[ReplicaStats(rep.n_submitted, rep.iterations,
                                         rep.peak_kv,
                                         rep.scheduler.n_preemptions)
                            for rep in replicas],
-            n_rejected=len(rejected),
-            prefix_caching=bool(prefix),
-            prefix_lookups=sum(p.n_lookups for p in prefix),
-            prefix_lookup_hits=sum(p.n_lookup_hits for p in prefix),
-            prefix_hit_tokens=sum(p.hit_tokens for p in prefix),
-            prefix_miss_tokens=sum(p.miss_tokens for p in prefix),
-            n_evicted_blocks=sum(p.n_evicted_blocks for p in prefix),
-            event_stats=loop.stats,
-            registry=registry,
-            tracer=tracer if tracer.enabled else None,
-            timeline=timeline_obj,
-            slo=slo_report,
         )
 
 

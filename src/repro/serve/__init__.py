@@ -24,7 +24,8 @@ budget:
   work for the cached prefix;
 - :mod:`repro.serve.costs` — prices one scheduler iteration through the
   memoized :meth:`~repro.core.engine.ComputeEngine.batch_latency_us`;
-- :mod:`repro.serve.simulator` — the discrete-event loop and the
+- :mod:`repro.serve.simulator` — the discrete-event loop over one
+  :class:`~repro.serve.simulator.Replica` and the
   :class:`~repro.serve.simulator.ServingReport` metrics (throughput,
   TTFT, TPOT, latency percentiles).
 
@@ -33,7 +34,7 @@ See ``docs/architecture.md`` for the full data-flow picture and
 ready-made FP16-vs-VQ comparisons.
 """
 
-from repro.serve.api import FleetConfig, Report, SchedulerConfig, SimConfig
+from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
 from repro.serve.costs import StepCostModel
 from repro.serve.events import ARRIVAL, STEP, TRANSFER, EventLoop, EventStats
 from repro.serve.paging import PagedKVAllocator, PagingStats
@@ -63,6 +64,7 @@ from repro.serve.scheduler import (
     kv_codebook_bytes,
 )
 from repro.serve.simulator import (
+    Report,
     RequestRecord,
     ServingReport,
     ServingSimulator,

@@ -1,69 +1,36 @@
-"""Typed configuration facade and unified report surface.
+"""Typed configuration facade.
 
-The simulator grew one constructor kwarg at a time — by PR 6 a serving
+The simulator grew one constructor kwarg at a time, until a serving
 run threaded six scheduler knobs plus simulator and fleet options
 through every call site.  This module is the stable public surface that
-replaces that sprawl:
+replaces that sprawl: :class:`SchedulerConfig` / :class:`SimConfig` /
+:class:`FleetConfig` are frozen dataclasses describing a scheduler, a
+single-engine simulation and a fleet simulation.  Each has a ``build``
+method that produces the live object; the underlying constructors
+(:class:`~repro.serve.scheduler.ContinuousBatchScheduler`,
+:class:`~repro.serve.simulator.ServingSimulator`,
+:class:`~repro.cluster.fleet.FleetSimulator`) take ``config=``
+directly.  Positional objects (budget, cost model, replicas) are not
+configuration and stay constructor arguments.
 
-- :class:`SchedulerConfig` / :class:`SimConfig` / :class:`FleetConfig`
-  are frozen dataclasses describing a scheduler, a single-engine
-  simulation and a fleet simulation.  Each has a ``build`` method that
-  produces the live object; the underlying constructors
-  (:class:`~repro.serve.scheduler.ContinuousBatchScheduler`,
-  :class:`~repro.serve.simulator.ServingSimulator`,
-  :class:`~repro.cluster.fleet.FleetSimulator`) also accept
-  ``config=`` directly.
-- Legacy keyword arguments on those constructors still work but emit a
-  :class:`DeprecationWarning` naming the config class to use instead;
-  the two paths are equivalence-tested (``tests/test_serve_api.py``).
-  Positional/keyword *objects* (budget, cost model, replicas) are not
-  deprecated — only the scalar option sprawl is.
-- :class:`Report` is the structural protocol both
-  :class:`~repro.serve.simulator.ServingReport` and
-  :class:`~repro.cluster.fleet.FleetReport` satisfy: ``metrics()``
-  returns the flat JSON-safe dict the experiment orchestrator
-  persists, ``summary()`` the human-readable block.
-
-Deprecation policy: legacy kwargs are kept working for one PR cycle
-after their replacement lands, warning on every explicit use, and are
-removed only when no in-repo call site needs them.  Configs are frozen
-so they can be shared across replicas and processes (the orchestrator
-pickles them into its worker pool) without aliasing surprises.
+Configs are frozen so they can be shared across replicas and processes
+(the orchestrator pickles them into its worker pool) without aliasing
+surprises.  Both simulators return a :class:`~repro.serve.simulator.
+Report` subclass (exported as ``repro.serve.Report``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional
 
 from repro.obs.timeline import TimelineConfig
 
 __all__ = [
     "FleetConfig",
-    "Report",
     "SchedulerConfig",
     "SimConfig",
 ]
-
-
-@runtime_checkable
-class Report(Protocol):
-    """What every simulation report exposes, regardless of layer.
-
-    ``metrics()`` is the flat JSON-safe dict (plain ``int``/``float``
-    values, losslessly serialisable) persisted to the perf trajectory;
-    ``summary()`` is the multi-line human-readable form.  The protocol
-    is structural (``runtime_checkable``): any object with conforming
-    methods counts, which is how :class:`~repro.serve.simulator.
-    ServingReport` and :class:`~repro.cluster.fleet.FleetReport`
-    implement it without a shared base class.
-    """
-
-    def metrics(self) -> dict:  # pragma: no cover - protocol stub
-        ...
-
-    def summary(self) -> str:  # pragma: no cover - protocol stub
-        ...
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Before this module, time lived in two places: the single-engine
 simulator kept a ``_Clock`` it bumped per iteration, and the fleet
 simulator kept one clock *per replica* and lockstepped all of them to
-every arrival (``for rep in replicas: rep.advance_to(t)``) so the
-router could inspect consistent state — an O(replicas x arrivals) scan
-that polls mostly-idle replicas.
+every arrival (stepping each replica until its clock reached the
+arrival) so the router could inspect consistent state — an
+O(replicas x arrivals) scan that polls mostly-idle replicas.
 
 :class:`EventLoop` replaces both with one ``heapq`` ordered by
 simulated time.  Event kinds:

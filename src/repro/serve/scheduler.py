@@ -43,7 +43,6 @@ simulator and cost model.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
@@ -61,11 +60,6 @@ from repro.serve.requests import Request
 
 #: Admission policies :class:`ContinuousBatchScheduler` understands.
 ADMISSION_POLICIES = ("reserve", "paged")
-
-#: Sentinel distinguishing "kwarg not passed" from any real value, so
-#: the constructor can warn only on *explicit* legacy kwargs.
-_UNSET = object()
-
 
 def kv_bytes_per_token(config: LlamaConfig,
                        vq: Optional[VQConfig] = None,
@@ -299,10 +293,7 @@ class ContinuousBatchScheduler:
         The KV-cache memory allowance.
     config:
         A :class:`~repro.serve.api.SchedulerConfig` carrying every
-        option below — the preferred construction surface.  Passing the
-        options as individual kwargs still works but is deprecated
-        (emits :class:`DeprecationWarning`); the two paths are
-        equivalence-tested.
+        option below (defaults when ``None``):
     token_budget:
         Maximum tokens processed per iteration (decode tokens + prefill
         chunk), the knob vLLM calls ``max_num_batched_tokens``.
@@ -333,28 +324,10 @@ class ContinuousBatchScheduler:
         them for live sequences.
     """
 
-    def __init__(self, budget: KVBudget, token_budget: int = _UNSET,
-                 max_seqs: int = _UNSET, admission: str = _UNSET,
-                 block_tokens: int = _UNSET, watermark_frac: float = _UNSET,
-                 prefix_caching: bool = _UNSET,
+    def __init__(self, budget: KVBudget,
                  config: Optional[SchedulerConfig] = None):
-        legacy = {name: value for name, value in (
-            ("token_budget", token_budget), ("max_seqs", max_seqs),
-            ("admission", admission), ("block_tokens", block_tokens),
-            ("watermark_frac", watermark_frac),
-            ("prefix_caching", prefix_caching)) if value is not _UNSET}
-        if config is not None:
-            if legacy:
-                raise TypeError(
-                    "pass either config= or legacy scheduler kwargs, not "
-                    f"both (got {sorted(legacy)})")
-        else:
-            if legacy:
-                warnings.warn(
-                    "passing scheduler options as individual kwargs is "
-                    "deprecated; pass config=SchedulerConfig(...) "
-                    "(repro.serve.api)", DeprecationWarning, stacklevel=2)
-            config = SchedulerConfig(**legacy)
+        if config is None:
+            config = SchedulerConfig()
         token_budget = config.token_budget
         max_seqs = config.max_seqs
         admission = config.admission

@@ -260,7 +260,7 @@ class TestServingBench:
         from repro.bench.serving import main
         rc = main(["--modes", "fp16", "--requests", "6", "--rate", "8",
                    "--kv-gb", "2", "--prompt-mean", "64",
-                   "--output-mean", "16", "--trace", "bursty"])
+                   "--output-mean", "16", "--trace-kind", "bursty"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "trace: bursty" in out
@@ -367,7 +367,7 @@ class TestClusterBench:
     def test_cluster_cli_runs_routing(self, capsys):
         from repro.bench.cluster import main
         rc = main(["--experiment", "routing", "--modes", "kv-cq-4",
-                   "--trace", "chat", "--rate", "8", "--requests", "8",
+                   "--trace-kind", "chat", "--rate", "8", "--requests", "8",
                    "--prompt-mean", "48", "--output-mean", "8",
                    "--replicas", "2",
                    "--policy", "round-robin", "prefix-affinity"])
@@ -441,7 +441,7 @@ class TestStructuredResults:
 
         reports = {}
         table = run(["--experiment", "routing", "--modes", "fp16",
-                     "--trace", "chat", "--rate", "8", "--requests", "8",
+                     "--trace-kind", "chat", "--rate", "8", "--requests", "8",
                      "--prompt-mean", "48", "--output-mean", "8",
                      "--replicas", "2", "--policy", "round-robin"],
                     reports=reports)
@@ -467,10 +467,11 @@ class TestStructuredResults:
         from repro.bench.cluster import make_replicas
         from repro.bench.serving import make_trace
         from repro.cluster.fleet import SLO, FleetSimulator
+        from repro.serve.api import FleetConfig
 
         trace = make_trace("poisson", 8.0, 8, 64, 16, seed=0)
         rep = FleetSimulator(make_replicas(2, "fp16"),
-                             policy="jsq").run(trace)
+                             config=FleetConfig(policy="jsq")).run(trace)
         metrics = rep.metrics()
         assert metrics["n_replicas"] == 2
         assert "goodput_rps" not in metrics

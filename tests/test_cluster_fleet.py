@@ -6,6 +6,8 @@ and ``examples/cluster_serving.py``.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.fleet import (
     SLO,
@@ -16,6 +18,7 @@ from repro.cluster.fleet import (
     make_policy,
     size_fleet,
 )
+from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
 from repro.serve.requests import LengthSampler, Request, multi_turn_chat_trace
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
 
@@ -36,7 +39,8 @@ def _replicas(n, max_tokens=100_000, step_us=1000.0, token_budget=512,
     return [
         Replica(i, ContinuousBatchScheduler(
             KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0),
-            token_budget=token_budget, max_seqs=max_seqs), cost)
+            config=SchedulerConfig(token_budget=token_budget,
+                                   max_seqs=max_seqs)), cost)
         for i in range(n)
     ]
 
@@ -47,8 +51,9 @@ def _paged_replicas(n, max_tokens=300, step_us=1000.0, token_budget=512,
     return [
         Replica(i, ContinuousBatchScheduler(
             KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0),
-            token_budget=token_budget, max_seqs=max_seqs,
-            admission="paged", block_tokens=block_tokens), cost)
+            config=SchedulerConfig(token_budget=token_budget,
+                                   max_seqs=max_seqs, admission="paged",
+                                   block_tokens=block_tokens)), cost)
         for i in range(n)
     ]
 
@@ -59,9 +64,10 @@ def _prefix_replicas(n, max_tokens=6000, step_us=1000.0, token_budget=512,
     return [
         Replica(i, ContinuousBatchScheduler(
             KVBudget(capacity_bytes=float(max_tokens), bytes_per_token=1.0),
-            token_budget=token_budget, max_seqs=max_seqs,
-            admission="paged", block_tokens=block_tokens,
-            prefix_caching=True), cost)
+            config=SchedulerConfig(token_budget=token_budget,
+                                   max_seqs=max_seqs, admission="paged",
+                                   block_tokens=block_tokens,
+                                   prefix_caching=True)), cost)
         for i in range(n)
     ]
 
@@ -97,20 +103,22 @@ class TestRequestConservation:
     @pytest.mark.parametrize("policy", ["round-robin", "jsq", "least-kv"])
     def test_all_requests_complete_exactly_once(self, policy):
         trace = _trace(30, gap=0.0007)
-        report = FleetSimulator(_replicas(3), policy=policy,
-                                name="unit").run(trace)
+        report = FleetSimulator(
+            _replicas(3),
+            config=FleetConfig(policy=policy, name="unit")).run(trace)
         assert report.n_requests == 30 and report.n_rejected == 0
         assert sorted(r.req_id for r in report.records) == list(range(30))
         assert sorted(report.assignments) == list(range(30))
         # Per-replica routed counts partition the trace.
-        assert sum(routed for routed, *_ in report.replica_stats) == 30
+        assert sum(s.n_requests for s in report.replica_stats) == 30
 
     def test_rejected_plus_completed_covers_the_trace(self):
         trace = _trace(4, prompt=32, output=8)          # 40 tokens each
         trace.append(Request(req_id=4, arrival_s=0.0, prompt_tokens=500,
                              output_tokens=8))          # fits nowhere
-        report = FleetSimulator(_replicas(2, max_tokens=50),
-                                policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(
+            _replicas(2, max_tokens=50),
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         assert report.n_requests == 4
         assert report.n_rejected == 1
         assert 4 not in report.assignments
@@ -120,8 +128,9 @@ class TestRequestConservation:
 class TestPolicies:
     def test_round_robin_cycles(self):
         trace = _trace(6)
-        report = FleetSimulator(_replicas(3), policy="round-robin",
-                                name="unit").run(trace)
+        report = FleetSimulator(_replicas(3),
+                                config=FleetConfig(policy="round-robin",
+                                                   name="unit")).run(trace)
         assert [report.assignments[i] for i in range(6)] == [0, 1, 2, 0, 1, 2]
 
     def test_jsq_prefers_the_idle_replica(self):
@@ -130,8 +139,9 @@ class TestPolicies:
         replicas[0].submit(Request(req_id=99, arrival_s=0.0,
                                    prompt_tokens=64, output_tokens=32))
         trace = _trace(2)
-        report = FleetSimulator(replicas, policy="jsq",
-                                name="unit").run(trace)
+        report = FleetSimulator(
+            replicas,
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         assert report.assignments[0] == 1
         # After the second arrival both queues tie at 1 -> lowest index.
         assert report.assignments[1] == 0
@@ -143,8 +153,9 @@ class TestPolicies:
         replicas[0].submit(big)
         assert replicas[0].kv_pressure == pytest.approx(0.5)
         assert replicas[1].kv_pressure == 0.0
-        report = FleetSimulator(replicas, policy="least-kv",
-                                name="unit").run(_trace(1))
+        report = FleetSimulator(replicas,
+                                config=FleetConfig(policy="least-kv",
+                                                   name="unit")).run(_trace(1))
         assert report.assignments[0] == 1
 
     def test_unknown_policy_rejected(self):
@@ -163,8 +174,10 @@ class TestPolicies:
                 return len(replicas) + 7
 
         with pytest.raises(ValueError):
-            FleetSimulator(_replicas(2), policy=Broken(),
-                           name="unit").run(_trace(1))
+            FleetSimulator(
+                _replicas(2),
+                config=FleetConfig(policy=Broken(), name="unit"),
+            ).run(_trace(1))
 
 
 class TestFleetBehaviour:
@@ -173,8 +186,8 @@ class TestFleetBehaviour:
         trace = _trace(8, prompt=32, output=8)  # simultaneous arrivals
         reports = {
             n: FleetSimulator(
-                _replicas(n, max_tokens=40), policy="jsq",
-                name=f"n{n}").run(trace)
+                _replicas(n, max_tokens=40),
+                config=FleetConfig(policy="jsq", name=f"n{n}")).run(trace)
             for n in (1, 2, 4)
         }
         ttfts = [reports[n].ttft_s(95) for n in (1, 2, 4)]
@@ -184,9 +197,10 @@ class TestFleetBehaviour:
 
     def test_single_replica_matches_single_engine_semantics(self):
         """A 1-replica fleet reproduces ServingSimulator's exact timing."""
-        report = FleetSimulator(_replicas(1), policy="round-robin",
-                                name="unit").run(_trace(1, prompt=100,
-                                                        output=5))
+        report = FleetSimulator(
+            _replicas(1),
+            config=FleetConfig(policy="round-robin", name="unit"),
+        ).run(_trace(1, prompt=100, output=5))
         rec = report.records[0]
         assert rec.ttft_s == pytest.approx(0.001)
         assert rec.latency_s == pytest.approx(0.005)
@@ -196,8 +210,9 @@ class TestFleetBehaviour:
         """8 simultaneous requests on one single-sequence replica: each
         takes 8 iterations, so TTFTs are 1, 9, 17, ... ms."""
         trace = _trace(8, prompt=32, output=8)
-        report = FleetSimulator(_replicas(1, max_tokens=40),
-                                policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(
+            _replicas(1, max_tokens=40),
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         slo = SLO(ttft_s=0.020)  # the first three requests meet it
         assert report.slo_attainment(slo) == pytest.approx(3 / 8)
         assert report.goodput_rps(slo) == pytest.approx(
@@ -207,22 +222,24 @@ class TestFleetBehaviour:
 
     def test_rejections_fail_compliance(self):
         trace = [Request(0, 0.0, 32, 8), Request(1, 0.0, 500, 8)]
-        report = FleetSimulator(_replicas(1, max_tokens=50),
-                                policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(
+            _replicas(1, max_tokens=50),
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         assert not report.meets(SLO(ttft_s=100.0))
         assert report.slo_attainment(SLO(ttft_s=100.0)) == pytest.approx(0.5)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            FleetSimulator(_replicas(1), name="unit").run([])
+            FleetSimulator(_replicas(1),
+                           config=FleetConfig(name="unit")).run([])
 
     def test_no_replicas_rejected(self):
         with pytest.raises(ValueError):
-            FleetSimulator([], name="unit")
+            FleetSimulator([], config=FleetConfig(name="unit"))
 
     def test_iteration_guard_trips(self):
         with pytest.raises(RuntimeError):
-            FleetSimulator(_replicas(1), name="unit").run(
+            FleetSimulator(_replicas(1), config=FleetConfig(name="unit")).run(
                 _trace(10), max_iterations=3)
 
 
@@ -243,8 +260,9 @@ class TestSizeFleet:
         assert n == 4
         assert report.n_replicas == 4 and report.meets(slo)
         # One fewer replica must miss (minimality).
-        miss = FleetSimulator(factory(3), policy="jsq",
-                              name="unit").run(trace)
+        miss = FleetSimulator(
+            factory(3),
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         assert not miss.meets(slo)
 
     def test_returns_none_when_even_max_misses(self):
@@ -265,11 +283,13 @@ class TestPagedFleet:
         """A fleet of paged replicas conserves requests and reports
         per-replica recompute preemption counts."""
         trace = _trace(16, prompt=32, output=24, gap=0.0)
-        report = FleetSimulator(_paged_replicas(2, max_tokens=300),
-                                policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(
+            _paged_replicas(2, max_tokens=300),
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         assert report.n_requests == 16 and report.n_rejected == 0
         assert len(report.replica_stats) == 2
-        assert all(len(stats) == 4 for stats in report.replica_stats)
+        assert (sum(stats.n_preemptions for stats in report.replica_stats)
+                == report.n_preempted)
         assert report.n_preempted >= 1
         assert "preemption" in report.summary()
 
@@ -294,7 +314,9 @@ class TestPagedFleet:
         reps = _paged_replicas(1, max_tokens=40, block_tokens=8)
         trace = [Request(req_id=0, arrival_s=0.0, prompt_tokens=33,
                          output_tokens=8)]  # 41 tokens -> 6 blocks of 5
-        report = FleetSimulator(reps, policy="jsq", name="unit").run(trace)
+        report = FleetSimulator(
+            reps,
+            config=FleetConfig(policy="jsq", name="unit")).run(trace)
         assert report.n_rejected == 1 and report.n_requests == 0
 
     def test_prefix_metrics_aggregate_across_replicas(self):
@@ -304,8 +326,9 @@ class TestPagedFleet:
             4, 3, rate_rps=50.0, think_s=0.02, system_tokens=32,
             user=LengthSampler(mean=16), output=LengthSampler(mean=8),
             seed=0)
-        report = FleetSimulator(reps, policy="prefix-affinity",
-                                name="unit").run(trace)
+        report = FleetSimulator(reps,
+                                config=FleetConfig(policy="prefix-affinity",
+                                                   name="unit")).run(trace)
         assert report.prefix_caching
         assert report.prefix_lookups == 12
         assert 0.0 < report.prefix_hit_rate <= 1.0
@@ -343,8 +366,8 @@ class TestPrefixAffinity:
     def test_sessions_stick_to_one_replica(self):
         trace = self._chat_trace()
         report = FleetSimulator(_prefix_replicas(3),
-                                policy="prefix-affinity",
-                                name="unit").run(trace)
+                                config=FleetConfig(policy="prefix-affinity",
+                                                   name="unit")).run(trace)
         by_session = {}
         for req in trace:
             by_session.setdefault(req.session_id, set()).add(
@@ -357,8 +380,9 @@ class TestPrefixAffinity:
         rate beats round-robin's on a sessionized trace."""
         trace = self._chat_trace()
         reports = {
-            policy: FleetSimulator(_prefix_replicas(3), policy=policy,
-                                   name=policy).run(trace)
+            policy: FleetSimulator(_prefix_replicas(3),
+                                   config=FleetConfig(policy=policy,
+                                                      name=policy)).run(trace)
             for policy in ("round-robin", "prefix-affinity")
         }
         for rep in reports.values():
@@ -402,3 +426,79 @@ class TestPrefixAffinity:
     def test_vnodes_validation(self):
         with pytest.raises(ValueError):
             PrefixAffinityPolicy(vnodes=0)
+
+
+# ----------------------------------------------------------------------
+# Differential: a one-replica fleet is the single-engine simulator
+# ----------------------------------------------------------------------
+class TokenCostModel:
+    """Stub: a fixed overhead plus a per-token cost, so iteration
+    lengths vary with the plan and timing bugs cannot cancel out."""
+
+    def step_us(self, plan):
+        return 200.0 + 7.0 * plan.total_tokens
+
+
+#: Keys only one driver reports, or whose values legitimately differ:
+#: the serving heap holds no STEP events, so its event counters differ
+#: from the fleet's (merging the dispatch loops would equalise them).
+_DRIVER_KEYS = {"n_events", "n_step_events", "events_total",
+                "events_steps_total"}
+_SERVING_ONLY = {"n_iterations", "peak_seqs", "peak_kv_utilization",
+                 "peak_kv_occupancy", "n_cow_copies"}
+_FLEET_ONLY = {"n_replicas"}
+
+
+def _unlabelled(metrics, drop):
+    return {key.replace('{replica="0"}', ""): value
+            for key, value in metrics.items() if key not in drop}
+
+
+@st.composite
+def _single_engine_case(draw):
+    admission, prefix = draw(st.sampled_from(
+        [("reserve", False), ("paged", False), ("paged", True)]))
+    sched = SchedulerConfig(
+        token_budget=draw(st.sampled_from([16, 64, 512])),
+        max_seqs=draw(st.integers(1, 8)), admission=admission,
+        block_tokens=draw(st.sampled_from([4, 8])),
+        watermark_frac=0.0, prefix_caching=prefix)
+    max_tokens = draw(st.sampled_from([96, 160, 400]))
+    # A few shared "system prompts" so prefix caching has something to
+    # hit; every prompt is one of them plus a private suffix.
+    systems = [tuple(range(1000 * s, 1000 * s + draw(st.integers(1, 24))))
+               for s in range(3)]
+    n = draw(st.integers(1, 16))
+    t, trace = 0.0, []
+    for i in range(n):
+        t += draw(st.sampled_from([0.0, 0.0004, 0.002, 0.01]))
+        system = systems[draw(st.integers(0, 2))]
+        suffix = tuple(range(100_000 + 100 * i,
+                             100_000 + 100 * i + draw(st.integers(1, 40))))
+        ids = system + suffix
+        # An occasional oversized request exercises rejection.
+        if draw(st.integers(0, 9)) == 0:
+            ids = tuple(range(500_000, 500_000 + 2 * max_tokens))
+        trace.append(Request(req_id=i, arrival_s=t,
+                             prompt_tokens=len(ids),
+                             output_tokens=draw(st.integers(1, 12)),
+                             prompt_ids=ids))
+    return sched, max_tokens, trace
+
+
+class TestSingleReplicaDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(_single_engine_case())
+    def test_one_replica_fleet_matches_serving(self, case):
+        sched, max_tokens, trace = case
+        budget = KVBudget(capacity_bytes=float(max_tokens),
+                          bytes_per_token=1.0)
+        serving = SimConfig(scheduler=sched, sanitize=True).build(
+            budget, TokenCostModel()).run(trace)
+        fleet = FleetConfig(scheduler=sched, sanitize=True).build(
+            1, budget, TokenCostModel()).run(trace)
+
+        assert fleet.records == serving.records
+        assert (_unlabelled(fleet.metrics(), _DRIVER_KEYS | _FLEET_ONLY)
+                == _unlabelled(serving.metrics(),
+                               _DRIVER_KEYS | _SERVING_ONLY))

@@ -217,15 +217,6 @@ def test_bench_serving_trace_out(tmp_path):
     assert doc["traceEvents"]
 
 
-def test_bench_serving_trace_alias_warns():
-    from repro.bench.serving import run
-
-    with pytest.warns(DeprecationWarning, match="deprecated alias"):
-        run(["--modes", "fp16", "--requests", "8", "--rate", "8",
-             "--prompt-mean", "64", "--output-mean", "16",
-             "--trace", "bursty"])
-
-
 def test_orchestrator_trial_trace_matches_untraced(tmp_path):
     from repro.bench.orchestrator import TrialSpec, run_trial
 

@@ -1,14 +1,14 @@
-"""Config facade tests: legacy-kwarg equivalence, deprecation, Report.
+"""Config facade tests: configs, legacy-kwarg rejection, Report base.
 
-The ``repro.serve.api`` configs are the public construction surface;
-the old per-constructor kwarg sprawl must keep working for one PR
-cycle, warn, and produce *identical* simulations.
+The ``repro.serve.api`` configs are the only construction surface; the
+old per-constructor option kwargs are gone and must fail loudly.
 """
 
 import pytest
 
 from repro.cluster.fleet import FleetReport, FleetSimulator, Replica
-from repro.serve.api import FleetConfig, Report, SchedulerConfig, SimConfig
+from repro.serve import Report
+from repro.serve.api import FleetConfig, SchedulerConfig, SimConfig
 from repro.serve.requests import Request
 from repro.serve.scheduler import ContinuousBatchScheduler, KVBudget
 from repro.serve.simulator import ServingReport, ServingSimulator
@@ -32,21 +32,6 @@ def _trace(n=12, gap=0.002):
 
 
 class TestSchedulerConfig:
-    def test_legacy_kwargs_warn_and_match_config(self):
-        with pytest.warns(DeprecationWarning, match="SchedulerConfig"):
-            legacy = ContinuousBatchScheduler(_budget(), token_budget=128,
-                                              max_seqs=4)
-        config = ContinuousBatchScheduler(
-            _budget(), config=SchedulerConfig(token_budget=128, max_seqs=4))
-        assert legacy.config == config.config
-        # Identical runs, metric for metric.
-        reports = []
-        for sched in (legacy, config):
-            sim = ServingSimulator(sched, ConstantCostModel(),
-                                   config=SimConfig(name="eq"))
-            reports.append(sim.run(_trace()).metrics())
-        assert reports[0] == reports[1]
-
     def test_defaults_without_warning(self, recwarn):
         sched = ContinuousBatchScheduler(_budget())
         assert sched.config == SchedulerConfig()
@@ -54,7 +39,7 @@ class TestSchedulerConfig:
                     if issubclass(w.category, DeprecationWarning)]
 
     def test_config_plus_legacy_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="token_budget"):
             ContinuousBatchScheduler(_budget(), token_budget=128,
                                      config=SchedulerConfig())
 
@@ -69,20 +54,8 @@ class TestSchedulerConfig:
 
 
 class TestSimConfig:
-    def test_legacy_name_warns_and_matches(self):
-        sched_cfg = SchedulerConfig(token_budget=128)
-        with pytest.warns(DeprecationWarning, match="SimConfig"):
-            legacy = ServingSimulator(sched_cfg.build(_budget()),
-                                      ConstantCostModel(), name="x")
-        config = ServingSimulator(sched_cfg.build(_budget()),
-                                  ConstantCostModel(),
-                                  config=SimConfig(name="x"))
-        assert legacy.name == config.name == "x"
-        assert (legacy.run(_trace()).metrics()
-                == config.run(_trace()).metrics())
-
     def test_config_plus_legacy_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="name"):
             ServingSimulator(SchedulerConfig().build(_budget()),
                              ConstantCostModel(), name="x",
                              config=SimConfig())
@@ -98,25 +71,9 @@ class TestSimConfig:
 
 
 class TestFleetConfig:
-    def test_legacy_kwargs_warn_and_match(self):
-        cost = ConstantCostModel()
-        sched_cfg = SchedulerConfig(token_budget=256, max_seqs=8)
-
-        def replicas():
-            return [Replica(i, sched_cfg.build(_budget()), cost)
-                    for i in range(2)]
-
-        with pytest.warns(DeprecationWarning, match="FleetConfig"):
-            legacy = FleetSimulator(replicas(), policy="jsq", name="f")
-        config = FleetSimulator(replicas(),
-                                config=FleetConfig(policy="jsq", name="f"))
-        assert legacy.name == config.name == "f"
-        assert (legacy.run(_trace()).metrics()
-                == config.run(_trace()).metrics())
-
     def test_config_plus_legacy_rejected(self):
         sched = SchedulerConfig().build(_budget())
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="policy"):
             FleetSimulator([Replica(0, sched, ConstantCostModel())],
                            policy="jsq", config=FleetConfig())
 
@@ -135,6 +92,7 @@ class TestFleetConfig:
 
 class TestReportProtocol:
     def test_both_reports_satisfy_protocol(self):
+        """Both simulators return a subclass of the one report base."""
         sim = SimConfig(scheduler=SchedulerConfig(token_budget=128)).build(
             _budget(), ConstantCostModel())
         serving = sim.run(_trace())

@@ -4,9 +4,10 @@ The heap driver (:class:`repro.serve.events.EventLoop` under
 :class:`repro.cluster.fleet.FleetSimulator`) claims two things:
 
 1. it is *bit-identical* to the legacy poll-everyone lockstep driver
-   (``Replica.advance_to`` before every arrival) — checked here by a
-   test-local reimplementation of the old loop, property-tested over
-   randomized traces, policies and admission modes;
+   (advance every replica to each arrival before routing) — checked
+   here against :func:`_lockstep_run`, the old loop kept as a
+   test-local oracle, property-tested over randomized traces, policies
+   and admission modes;
 2. it activates replicas strictly less often — idle replicas are never
    polled — checked by the sparse-trace wakeup regression.
 """
@@ -47,12 +48,21 @@ def _replicas(n, max_tokens=120, step_us=1000.0, token_budget=64,
 
 def _lockstep_run(replicas, policy, trace, max_iterations=100_000):
     """The pre-heap fleet driver, verbatim: advance every replica to
-    each arrival, route, then drain replicas one by one."""
+    each arrival, route, then drain replicas one by one.
+
+    Returns ``(assignments, rejected, wakeups)`` — ``wakeups`` counts
+    every replica activation, one per replica per arrival, whether or
+    not the replica had work (the poll-everyone tax the heap removes).
+    """
     pending = sorted(trace, key=lambda r: r.arrival_s)
-    assignments, rejected = {}, []
+    assignments, rejected, wakeups = {}, [], 0
     for req in pending:
         for rep in replicas:
-            rep.advance_to(req.arrival_s)
+            # Step until the clock reaches the arrival or work runs out.
+            wakeups += 1
+            while rep.has_work and rep.now_s < req.arrival_s:
+                assert rep.iterations < max_iterations, "diverging reference"
+                rep.step()
         candidates = [i for i, rep in enumerate(replicas)
                       if rep.scheduler.fits(req)]
         if not candidates:
@@ -65,7 +75,7 @@ def _lockstep_run(replicas, policy, trace, max_iterations=100_000):
         while rep.has_work:
             assert rep.iterations < max_iterations, "diverging reference"
             rep.step()
-    return assignments, rejected
+    return assignments, rejected, wakeups
 
 
 def _snapshot(replicas):
@@ -166,8 +176,8 @@ class TestHeapLockstepEquivalence:
         report = sim.run(trace)
 
         lock_reps = _replicas(n_replicas, admission=admission)
-        assignments, rejected = _lockstep_run(lock_reps,
-                                              make_policy(policy), trace)
+        assignments, rejected, _ = _lockstep_run(lock_reps,
+                                                 make_policy(policy), trace)
 
         # Same routing decisions, same rejections, and per replica the
         # same iteration chain with exactly equal clocks and records —
@@ -193,23 +203,22 @@ class TestWakeupRegression:
         sim = FleetSimulator(heap_reps,
                              config=FleetConfig(policy="jsq", name="heap"))
         sim.run(trace)
-        heap_wakeups = sum(r.n_wakeups for r in heap_reps)
+        stats = sim.last_event_stats
+        heap_iterations = sum(r.iterations for r in heap_reps)
         # One wakeup per executed iteration, nothing else.
-        assert heap_wakeups == sum(r.iterations for r in heap_reps)
-        assert sim.last_event_stats.n_idle_polls == 0
-        assert sim.last_event_stats.n_step_events == heap_wakeups
+        assert stats.n_step_events == heap_iterations
+        assert stats.n_idle_polls == 0
 
         lock_reps = _replicas(n_replicas)
-        _lockstep_run(lock_reps, make_policy("jsq"), trace)
-        lock_wakeups = sum(r.n_wakeups for r in lock_reps)
-        # advance_to touched every replica at every arrival...
+        _, _, lock_wakeups = _lockstep_run(lock_reps, make_policy("jsq"),
+                                           trace)
+        # The lockstep loop touched every replica at every arrival...
         assert lock_wakeups == n_replicas * n_requests
         # ...which the heap driver undercuts by the poll-everyone tax:
         # total iterations here (= heap wakeups) is n_requests, a 4x drop.
-        assert heap_wakeups < lock_wakeups
+        assert stats.n_step_events < lock_wakeups
         # Work itself is identical — only the driver overhead differs.
-        assert (sum(r.iterations for r in heap_reps)
-                == sum(r.iterations for r in lock_reps))
+        assert heap_iterations == sum(r.iterations for r in lock_reps)
 
 
 class TestSingleSimEventCore:

@@ -9,6 +9,7 @@ bit-identical, so PR 1-4 results do not shift.
 
 import pytest
 
+from repro.serve.api import SchedulerConfig, SimConfig
 from repro.serve.prefix import (
     PrefixCache,
     PrefixCachingAllocator,
@@ -50,11 +51,12 @@ def _prefix_sched(total_tokens=256, block_tokens=8, token_budget=256,
                   max_seqs=16, watermark_frac=0.0):
     budget = KVBudget(capacity_bytes=float(total_tokens),
                       bytes_per_token=1.0)
-    return ContinuousBatchScheduler(budget, token_budget=token_budget,
-                                    max_seqs=max_seqs, admission="paged",
-                                    block_tokens=block_tokens,
-                                    watermark_frac=watermark_frac,
-                                    prefix_caching=True)
+    return ContinuousBatchScheduler(
+        budget,
+        config=SchedulerConfig(token_budget=token_budget, max_seqs=max_seqs,
+                               admission="paged", block_tokens=block_tokens,
+                               watermark_frac=watermark_frac,
+                               prefix_caching=True))
 
 
 class TestRollingHash:
@@ -365,7 +367,7 @@ class TestSchedulerIntegration:
         trace = [_req(i, _ids(system, range(100 * i, 100 * i + 8)),
                       output=4, arrival=0.05 * i) for i in range(6)]
         report = ServingSimulator(sched, ConstantCostModel(),
-                                  name="px").run(trace)
+                                  config=SimConfig(name="px")).run(trace)
         assert report.prefix_caching
         assert report.prefix_hit_rate > 0.5
         assert report.cached_token_fraction > 0.4
@@ -376,10 +378,14 @@ class TestSchedulerIntegration:
     def test_prefix_requires_paged(self):
         budget = KVBudget(capacity_bytes=100.0, bytes_per_token=1.0)
         with pytest.raises(ValueError):
-            ContinuousBatchScheduler(budget, prefix_caching=True)
+            ContinuousBatchScheduler(
+                budget,
+                config=SchedulerConfig(prefix_caching=True))
         with pytest.raises(ValueError):
-            ContinuousBatchScheduler(budget, admission="reserve",
-                                     prefix_caching=True)
+            ContinuousBatchScheduler(
+                budget,
+                config=SchedulerConfig(admission="reserve",
+                                       prefix_caching=True))
 
 
 # ----------------------------------------------------------------------
@@ -425,10 +431,12 @@ class TestDefaultPathUnchanged:
         trace = make_trace("poisson", 16.0, 64, 384, 96, seed=0)
         budget = KVBudget(capacity_bytes=4e9,
                           bytes_per_token=self.BYTES_PER_TOKEN[mode])
-        sched = ContinuousBatchScheduler(budget, token_budget=2048,
-                                         max_seqs=64, admission=admission)
+        sched = ContinuousBatchScheduler(
+            budget,
+            config=SchedulerConfig(token_budget=2048, max_seqs=64,
+                                   admission=admission))
         rep = ServingSimulator(sched, ConstantCostModel(),
-                               name="golden").run(trace)
+                               config=SimConfig(name="golden")).run(trace)
         want = self.GOLDEN[(mode, admission)]
         assert rep.makespan_s == want["makespan_s"]
         assert rep.n_iterations == want["n_iterations"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.llm.config import llama_7b, tiny_llama
+from repro.serve.api import SchedulerConfig
 from repro.serve.requests import Request
 from repro.serve.scheduler import (
     ContinuousBatchScheduler,
@@ -21,8 +22,9 @@ def _req(i, prompt=64, output=16, arrival=0.0):
 def _scheduler(max_tokens=10_000, token_budget=256, max_seqs=8):
     budget = KVBudget(capacity_bytes=float(max_tokens),
                       bytes_per_token=1.0)
-    return ContinuousBatchScheduler(budget, token_budget=token_budget,
-                                    max_seqs=max_seqs)
+    return ContinuousBatchScheduler(
+        budget,
+        config=SchedulerConfig(token_budget=token_budget, max_seqs=max_seqs))
 
 
 class TestKVAccounting:
@@ -215,8 +217,9 @@ class TestScheduling:
         results = {}
         for name, vq in (("fp16", None), ("cq-2", make_config("cq-2"))):
             budget = KVBudget.for_model(cfg, capacity, vq=vq)
-            sched = ContinuousBatchScheduler(budget, token_budget=8192,
-                                             max_seqs=512)
+            sched = ContinuousBatchScheduler(
+                budget,
+                config=SchedulerConfig(token_budget=8192, max_seqs=512))
             for i in range(64):
                 sched.submit(_req(i, prompt=64, output=36))
             sched.schedule()
