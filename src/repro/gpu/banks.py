@@ -118,70 +118,54 @@ class BankConflictModel:
         stream = np.asarray(index_stream).ravel()
         if stream.size == 0:
             return 0.0
-        warp = self.spec.warp_size
-        n_warps = stream.size // warp
-        if n_warps == 0:
-            lanes = self._shared_lanes(stream, register_resident,
-                                       shared_resident)
-            if not lanes:
-                return 0.0
-            return float(warp_conflict_degree(
-                lanes, self.entry_bytes, self.spec.smem_banks,
-                self.spec.smem_bank_bytes))
-
+        # A warp is a row of ``warp_size`` consecutive lookups; a stream
+        # shorter than one warp is a single partial row.
+        width = min(stream.size, self.spec.warp_size)
+        n_warps = stream.size // width
         if n_warps > max_warps:
             rng = np.random.default_rng(seed)
             chosen = rng.choice(n_warps, size=max_warps, replace=False)
         else:
             chosen = np.arange(n_warps)
+        rows = stream[:n_warps * width].reshape(n_warps, width)
+        lanes = rows[chosen].astype(np.int64, copy=False)
 
-        # Vectorized replica of the per-warp
-        # :func:`warp_conflict_degree` loop: all arithmetic is integer
-        # (word ids, bank ids, distinct counts), so the result is
-        # bit-identical to the scalar path — which remains the
-        # reference the property tests compare against.
+        # Exact integer replica of :func:`warp_conflict_degree` per row,
+        # so the mean is bit-identical (checked against it by
+        # tests/test_gpu_banks.py::TestAverageDegreeDifferential).
+        # Distinct entries own disjoint words, and entry ``e`` covers
+        # ``wpe`` consecutive banks from its start bank
+        # ``(e * wpe) % banks``.  So a bank's distinct-word count is
+        # ``wpe // banks`` per distinct entry, plus one per distinct
+        # entry whose start bank lies in the ``wpe % banks`` banks
+        # ending at it (circularly).  All work is in place on ``lanes``
+        # to keep per-call allocations small.
         banks = self.spec.smem_banks
         wpe = max(1, math.ceil(self.entry_bytes
                                / self.spec.smem_bank_bytes))
-        sub = stream[(np.asarray(chosen)[:, None] * warp
-                      + np.arange(warp))].astype(np.int64)
-        mask = sub >= register_resident
+        lanes.sort(axis=1)
+        drop = lanes < register_resident
         if shared_resident is not None:
-            mask &= sub < shared_resident
-        touched = mask.any(axis=1)
+            drop |= lanes >= shared_resident
+        drop[:, 1:] |= lanes[:, 1:] == lanes[:, :-1]
+        # Bank-major histogram: slot ``start_bank * n + row``; dropped
+        # lanes go to the spill bank ``banks``, cut off below.
+        n = len(lanes)
+        lanes *= wpe
+        lanes %= banks
+        np.copyto(lanes, banks, where=drop)
+        lanes *= n
+        lanes += np.arange(n)[:, None]
+        hist = np.bincount(lanes.ravel(), minlength=(banks + 1) * n)
+        hist = hist[:banks * n].reshape(banks, n)
+        n_distinct = hist.sum(axis=0)
+        touched = n_distinct > 0
         if not touched.any():
             return 0.0
-        n_chosen = sub.shape[0]
-        lanes_flat = warp * wpe
-        words = (sub * wpe)[..., None] + np.arange(wpe)
-        words = words.reshape(n_chosen, lanes_flat)
-        # Masked lanes collapse to sentinel -1, then a row sort makes
-        # duplicate words adjacent so each distinct word counts once.
-        words = np.where(np.repeat(mask, wpe, axis=1), words, -1)
-        words.sort(axis=1)
-        uniq = np.empty((n_chosen, lanes_flat), dtype=bool)
-        uniq[:, 0] = words[:, 0] >= 0
-        uniq[:, 1:] = ((words[:, 1:] != words[:, :-1])
-                       & (words[:, 1:] >= 0))
-        counts = np.zeros((n_chosen, banks), dtype=np.int64)
-        rows = np.broadcast_to(np.arange(n_chosen)[:, None],
-                               (n_chosen, lanes_flat))
-        np.add.at(counts, (rows[uniq], words[uniq] % banks), 1)
-        return float(np.mean(counts.max(axis=1)[touched]))
-
-    def _shared_lanes(
-        self,
-        warp_indices: np.ndarray,
-        register_resident: int,
-        shared_resident: Optional[int],
-    ) -> list:
-        """Indices in one warp that are served from shared memory."""
-        lanes = []
-        for index in warp_indices:
-            i = int(index)
-            if i < register_resident:
-                continue
-            if shared_resident is not None and i >= shared_resident:
-                continue
-            lanes.append(i)
-        return lanes
+        span = wpe % banks
+        window = np.zeros_like(hist)
+        for k in range(span):
+            window[k:] += hist[:banks - k]
+            window[:k] += hist[banks - k:]
+        degree = (wpe // banks) * n_distinct + window.max(axis=0)
+        return float(np.mean(degree[touched]))

@@ -35,9 +35,21 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+import numpy as np
+
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Linear-interpolated percentile (q in [0, 100]) of a sequence."""
+    if not 0 <= q <= 100:
+        raise ValueError("q must be in [0, 100]")
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 0:
+        raise ValueError("percentile of an empty sequence")
+    return float(np.percentile(arr, q))
 
 
 def _format_value(value) -> str:

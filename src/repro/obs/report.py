@@ -11,8 +11,8 @@ renders the causal story behind a run's aggregate metrics:
 - **latency percentiles**: TTFT (queued + prefill) and TPOT (decode
   time per generated token) — these reconcile with
   ``ServingReport.metrics()`` because both derive from the same
-  simulated timestamps (percentiles replicate ``np.percentile``'s
-  linear interpolation, see :func:`percentile`);
+  simulated timestamps and the same
+  :func:`repro.obs.metrics.percentile`);
 - **preemption causes**: per-replica preemption counts and recompute
   token totals (the only cause today is KV block exhaustion under
   paged admission);
@@ -23,8 +23,8 @@ renders the causal story behind a run's aggregate metrics:
   batch, KV occupancy, windowed flow rates) plus the SLO alert
   history, when the trace carries them.
 
-The module is import-safe (pure stdlib) and the CLI writes markdown to
-stdout or ``--out``.
+The module is import-safe and the CLI writes markdown to stdout or
+``--out``.
 """
 
 from __future__ import annotations
@@ -37,11 +37,13 @@ import sys
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.breakdown import breakdown_summary, request_breakdowns
+from repro.obs.metrics import percentile
+
 __all__ = [
     "build_report",
     "counter_series",
     "load_trace",
-    "percentile",
     "render_dashboard",
     "render_html",
     "render_markdown",
@@ -50,26 +52,6 @@ __all__ = [
 
 _PHASES = ("queued", "prefill", "decode")
 _SEGMENTS = ("queued", "prefill", "stall", "decode")
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """``np.percentile(values, q)`` with linear interpolation, in stdlib.
-
-    Kept numerically identical to numpy's default method so the report
-    reconciles with ``ServingReport`` aggregates bit-for-bit on the
-    same inputs.
-    """
-    if not values:
-        return math.nan
-    data = sorted(values)
-    if len(data) == 1:
-        return float(data[0])
-    rank = (len(data) - 1) * (q / 100.0)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return float(data[int(rank)])
-    return data[lo] * (hi - rank) + data[hi] * (rank - lo)
 
 
 def load_trace(path) -> dict:
@@ -166,8 +148,6 @@ def build_report(doc: dict) -> dict:
     imbalance = (max(busy_values) / mean_busy
                  if busy_values and mean_busy > 0 else 1.0)
 
-    # Lazy import: breakdown imports percentile from this module.
-    from repro.obs.breakdown import breakdown_summary, request_breakdowns
     breakdown = breakdown_summary(request_breakdowns(doc))
 
     return {
@@ -267,11 +247,14 @@ def render_markdown(report: dict) -> str:
     lines.append("|---|---|---|---|---|")
     for label, values in (("TTFT ms", report["ttft_ms"]),
                           ("TPOT ms", report["tpot_ms"])):
-        mean = sum(values) / len(values) if values else math.nan
+        if values:
+            p50, p95, p99 = (percentile(values, q) for q in (50, 95, 99))
+            mean = sum(values) / len(values)
+        else:
+            p50 = p95 = p99 = mean = math.nan
         lines.append(
-            f"| {label} | {_fmt(percentile(values, 50))} "
-            f"| {_fmt(percentile(values, 95))} "
-            f"| {_fmt(percentile(values, 99))} | {_fmt(mean)} |")
+            f"| {label} | {_fmt(p50)} | {_fmt(p95)} | {_fmt(p99)} "
+            f"| {_fmt(mean)} |")
     lines.append("")
 
     if report["n_preempted"]:

@@ -33,9 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.slo import SLOMonitor
 from repro.obs.timeline import TimelineCollector
 from repro.obs.trace import EVT_EVICTED, EVT_REJECTED, NULL_TRACER, Tracer
@@ -75,16 +73,6 @@ def observe_request_metrics(registry: MetricsRegistry, records,
         if r.output_tokens > 1:
             tpot.observe(r.tpot_s * 1e3)
         latency.observe(r.latency_s)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile (q in [0, 100]) of a sequence."""
-    if not 0 <= q <= 100:
-        raise ValueError("q must be in [0, 100]")
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("percentile of an empty sequence")
-    return float(np.percentile(arr, q))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.banks import BankConflictModel, warp_conflict_degree
 from repro.gpu.spec import RTX4090
@@ -92,3 +94,61 @@ class TestBankConflictModel:
     def test_rejects_bad_entry_bytes(self):
         with pytest.raises(ValueError):
             BankConflictModel(RTX4090, entry_bytes=-2)
+
+
+def _reference_degree(stream, entry_bytes, register_resident,
+                      shared_resident, max_warps, seed):
+    """Scalar restatement of ``average_degree``: the same sampled warps,
+    each priced by :func:`warp_conflict_degree` on its shared lanes."""
+    warp = RTX4090.warp_size
+    values = [int(v) for v in stream]
+    if not values:
+        return 0.0
+    if len(values) < warp:
+        warps = [values]
+    else:
+        n_warps = len(values) // warp
+        chosen = (np.random.default_rng(seed).choice(
+            n_warps, size=max_warps, replace=False)
+            if n_warps > max_warps else range(n_warps))
+        warps = [values[w * warp:(w + 1) * warp] for w in chosen]
+    degrees = []
+    for lanes in warps:
+        shared = [i for i in lanes if i >= register_resident and (
+            shared_resident is None or i < shared_resident)]
+        if shared:
+            degrees.append(warp_conflict_degree(shared, entry_bytes))
+    return sum(degrees) / len(degrees) if degrees else 0.0
+
+
+@st.composite
+def _bank_cases(draw):
+    dtype = draw(st.sampled_from([np.uint8, np.int32, np.int64]))
+    top = draw(st.integers(0, 255 if dtype is np.uint8 else 600))
+    # Up to 20 warps, so small ``max_warps`` values exercise sampling;
+    # lengths below 32 exercise the single partial warp.
+    size = draw(st.integers(0, 20)) * 32 + draw(st.integers(0, 31))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))) \
+        .integers(0, top + 1, size=size)
+    return (values.astype(dtype),
+            draw(st.integers(1, 260)),
+            draw(st.integers(0, 64)),
+            draw(st.none() | st.integers(0, 640)),
+            draw(st.integers(1, 24)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestAverageDegreeDifferential:
+    """The vectorised ``average_degree`` equals the scalar reference
+    exactly: entry sizes 1-260 B (one to 65 words, so windows wrap the
+    banks more than once), narrow and wide index dtypes, empty and
+    ``None`` residency windows, sub-warp streams and sampled streams."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bank_cases())
+    def test_matches_scalar_reference(self, case):
+        stream, entry_bytes, r, s, max_warps, seed = case
+        model = BankConflictModel(RTX4090, entry_bytes=entry_bytes)
+        got = model.average_degree(stream, r, s, max_warps, seed)
+        assert got == _reference_degree(stream, entry_bytes, r, s,
+                                        max_warps, seed)

@@ -1,10 +1,11 @@
 """Wall-clock performance gate for the fast-path simulation core.
 
-CI runs this after the functional suites: it exercises the two perf
-targets of the event-core PR and fails loudly when either regresses by
-more than ~2x, catching accidental slow-path reintroductions (a
-scheduler falling off the full-rotation fast path, the sample disk
-cache breaking, an O(n) scan reappearing per iteration).
+CI runs this after the functional suites: it exercises the perf
+targets of the event core and the kernel generator and fails loudly
+when one regresses by more than ~2x, catching accidental slow-path
+reintroductions (a scheduler falling off the full-rotation fast path,
+the sample disk cache breaking, an O(n) scan reappearing per
+iteration, a per-word bank-conflict count).
 
 Checks:
 
@@ -15,8 +16,8 @@ Checks:
    the 2x regression allowance.
 2. Event-core throughput: a large constant-cost serving simulation must
    sustain a floor in simulated requests per wall-clock second (the
-   1M-requests-under-60 s target runs at ~21 k req/s locally; the
-   floor is ~2x CI slack on top of a 2x regression allowance).
+   1M-requests-under-60 s target runs in ~50 s, ~20 k req/s, locally;
+   the floor is ~2x CI slack on top of a 2x regression allowance).
 3. Tracing overhead: the same constant-cost simulation with
    :mod:`repro.obs` timeline recording enabled must stay within
    ``--trace-factor`` (default 1.5x) of the untraced wall clock —
@@ -26,6 +27,10 @@ Checks:
    time-series telemetry (``SimConfig(timeline=...)``) enabled must
    stay within the same 1.5x allowance — SAMPLE events on the heap
    plus per-window accumulation are O(windows), not O(events).
+5. Kernel-generator wall clock: the best of five warm Fig. 13 level
+   sweeps (one ``perfbench`` codegen-grid op: 8 kernels x GC..O4 at
+   Llama-7B batch 8, context 4096, samples loaded) must finish within
+   ``CODEGEN_BUDGET_S``.
 
 Run with::
 
@@ -44,7 +49,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT))
 
+from perfbench.workloads import CodegenGrid  # noqa: E402
 from repro.obs.timeline import TimelineConfig  # noqa: E402
 from repro.serve.api import SchedulerConfig, SimConfig  # noqa: E402
 from repro.serve.requests import Request  # noqa: E402
@@ -84,6 +91,34 @@ def _event_core_elapsed(n_requests: int, trace: bool = False,
     return elapsed
 
 
+#: Check 5's budget for the best of five warm sweeps: ~2x the 0.17-0.18 s
+#: best on a quiet 2-vCPU Xeon VM (0.27 s when that host was busy).  The
+#: older per-word bank-conflict count took 0.42-0.67 s there, ~2.4x the
+#: current path at the same moment, so that margin leaves no room for
+#: extra CI slack; the budget was not measured on a CI runner.
+CODEGEN_BUDGET_S = 0.4
+
+
+def _codegen_sweep_s(repeats: int = 5) -> float:
+    """Best wall-clock seconds of ``repeats`` warm Fig. 13 level sweeps.
+
+    Each sweep is one ``perfbench`` codegen-grid op at Llama-7B batch 8,
+    context 4096.  The sample tensors are loaded and one untimed sweep
+    runs first; the generator memoizes nothing, so every timed sweep
+    does the whole job again.
+    """
+    grid = CodegenGrid(0)
+    k = grid.keys.index((8, 4096))
+    grid.prepare([k])
+    grid.op(k)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        grid.op(k)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python tools/perf_smoke.py",
@@ -94,7 +129,7 @@ def main(argv=None) -> int:
                              "(default 3.0 s; ~0.7 s locally)")
     parser.add_argument("--min-rps", type=float, default=5000.0,
                         help="event-core floor, simulated requests per "
-                             "second (default 5000; ~21k locally)")
+                             "second (default 5000; ~20k locally)")
     parser.add_argument("--requests", type=int, default=200_000,
                         help="trace size for the event-core check")
     parser.add_argument("--trace-requests", type=int, default=50_000,
@@ -129,6 +164,10 @@ def main(argv=None) -> int:
           f"plain {off_s:.2f} s, sampled {tl_s:.2f} s "
           f"({tl_factor:.2f}x, max {args.trace_factor:.2f}x)")
 
+    sweep_s = _codegen_sweep_s()
+    print(f"codegen sweep: 48 kernels in {sweep_s:.2f} s "
+          f"(budget {CODEGEN_BUDGET_S:.2f} s)")
+
     failed = False
     if warm_s > args.budget_s:
         print(f"PERF REGRESSION: warm cluster_serving.py took "
@@ -145,6 +184,10 @@ def main(argv=None) -> int:
     if tl_factor > args.trace_factor:
         print(f"PERF REGRESSION: timeline sampling costs "
               f"{tl_factor:.2f}x > {args.trace_factor:.2f}x allowance")
+        failed = True
+    if sweep_s > CODEGEN_BUDGET_S:
+        print(f"PERF REGRESSION: codegen sweep took {sweep_s:.2f} s > "
+              f"{CODEGEN_BUDGET_S:.2f} s budget")
         failed = True
     if not failed:
         print("perf smoke passed")
